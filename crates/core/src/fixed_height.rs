@@ -7,7 +7,9 @@ use enum_synth::counterexample_env;
 use smtkit::{SmtConfig, SmtError, SmtResult, SmtSession, SmtSolver, Validity};
 use std::sync::{Mutex, MutexGuard};
 use sygus_ast::runtime::{Budget, BudgetError};
-use sygus_ast::{simplify, Env, GrammarFlavor, Op, Problem, Sort, Symbol, Term, TermNode, Value};
+use sygus_ast::{
+    simplify, Env, Grammar, GrammarFlavor, Op, Problem, Sort, Symbol, Term, TermNode, Value,
+};
 
 /// A thread-shared counterexample pool (Section 5.1: parallel heights share
 /// counterexamples). Locking is poison-tolerant: a panicking worker (caught
@@ -229,13 +231,7 @@ impl FixedHeightSolver {
                 // faster than our SMT substrate on these queries — and at
                 // height ≥ 3 the symbolic query is out of its comfort zone
                 // either way. See DESIGN.md §4.
-                let has_const_holes = sf
-                    .grammar
-                    .nonterminals()
-                    .iter()
-                    .flat_map(|nt| &nt.productions)
-                    .any(has_any_const);
-                if height >= 3 || !has_const_holes {
+                if height >= 3 || enumerates_every_height(&sf.grammar) {
                     return self.solve_custom_by_enumeration(problem, height, examples, &cfg);
                 }
                 match GeneralEncoding::new(&sf.grammar, &problem.definitions, &sf.params, height) {
@@ -447,6 +443,9 @@ impl FixedHeightSolver {
     /// Height-bounded concrete enumeration (CEGIS with the bottom-up
     /// enumerator): finds a term of height ≤ `height` consistent with the
     /// shared counterexample pool, verifying and growing the pool as usual.
+    /// The enumerator runs under the engine's budget, so a deadline or
+    /// cancellation stops it inside a layer, and every kept term costs one
+    /// fuel unit.
     fn solve_custom_by_enumeration(
         &self,
         problem: &Problem,
@@ -469,6 +468,13 @@ impl FixedHeightSolver {
         let mut smt = CandidateVerifier::new(cfg);
         // Full tree of height h has 2^h − 1 nodes; cap the size budget there.
         let max_size = ((1usize << height.min(6)) - 1).min(31);
+        let econfig = EnumConfig {
+            max_size,
+            constant_pool: enum_synth::constant_pool(problem, &EnumConfig::default()),
+            budget: cfg.budget.clone(),
+            ..EnumConfig::default()
+        };
+        let mut work_defs = problem.definitions.clone();
         let mut rounds = 0;
         loop {
             if let Some(stop) = self.interrupted() {
@@ -482,14 +488,8 @@ impl FixedHeightSolver {
                 return FixedHeightResult::Failed("CEGIS round limit".into());
             }
             let snapshot = examples.lock().clone();
-            let econfig = EnumConfig {
-                max_size,
-                constant_pool: enum_synth::constant_pool(problem, &EnumConfig::default()),
-                ..EnumConfig::default()
-            };
             let mut en =
-                TermEnumerator::new(&sf.grammar, &problem.definitions, snapshot.clone(), econfig);
-            let mut work_defs = problem.definitions.clone();
+                TermEnumerator::new(&sf.grammar, &problem.definitions, snapshot, econfig.clone());
             let mut candidate: Option<Term> = None;
             'search: for size in 1..=max_size {
                 if let Some(stop) = self.interrupted() {
@@ -503,7 +503,8 @@ impl FixedHeightSolver {
                         sf.name,
                         sygus_ast::FuncDef::new(sf.params.clone(), sf.ret, t.clone()),
                     );
-                    let ok = snapshot
+                    let ok = en
+                        .examples()
                         .iter()
                         .all(|env| spec.eval(env, &work_defs) == Ok(Value::Bool(true)));
                     if ok {
@@ -513,19 +514,21 @@ impl FixedHeightSolver {
                 }
             }
             let Some(candidate) = candidate else {
-                return FixedHeightResult::NoSolution;
+                // A tripped budget truncates the layers, so an empty search
+                // only proves exhaustion while the budget still holds.
+                return self.interrupted().unwrap_or(FixedHeightResult::NoSolution);
             };
             let formula = problem.verification_formula(&candidate);
             match smt.check_valid(&formula) {
                 Ok(Validity::Valid) => return FixedHeightResult::Solved(candidate),
                 Ok(Validity::Invalid(cex)) => match counterexample_env(problem, &cex) {
                     Some(env) => {
-                        let mut pool = examples.lock();
-                        if snapshot.contains(&env) {
+                        if en.examples().contains(&env) {
                             return FixedHeightResult::Failed(format!(
                                 "duplicate counterexample {env} for {candidate}"
                             ));
                         }
+                        let mut pool = examples.lock();
                         if !pool.contains(&env) {
                             pool.push(env);
                             cfg.budget.tracer().progress().note_counterexample();
@@ -596,6 +599,21 @@ impl FixedHeightSolver {
             None => FixedHeightResult::NoSolution,
         }
     }
+}
+
+/// Whether [`FixedHeightSolver::solve_at_height`] answers every height of
+/// `grammar` by concrete enumeration: a custom grammar without `(Constant _)`
+/// holes. That search at height h+1 walks every term of height ≤ h+1, so it
+/// contains the search at h, and a band of parallel heights would only repeat
+/// its lower heights' work; the solver façade therefore picks the sequential
+/// backend for such problems whatever the thread count.
+pub(crate) fn enumerates_every_height(grammar: &Grammar) -> bool {
+    grammar.flavor() == GrammarFlavor::Custom
+        && !grammar
+            .nonterminals()
+            .iter()
+            .flat_map(|nt| &nt.productions)
+            .any(has_any_const)
 }
 
 /// Whether a production pattern contains a `(Constant _)` hole.

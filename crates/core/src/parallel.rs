@@ -71,8 +71,12 @@ impl EnumBackend for FixedHeightBackend {
 }
 
 /// The parallel backend (Section 5.1): one step searches `threads`
-/// consecutive heights concurrently, all sharing the counterexample pool;
-/// the smallest solved height wins.
+/// consecutive heights concurrently, all sharing the counterexample pool.
+/// The first worker to solve cancels its siblings, so the step returns the
+/// smallest height among the workers that finished solved, which need not
+/// be the smallest solvable height of the band. The solver façade keeps
+/// grammars searched by concrete enumeration at every height off this
+/// backend (see `DryadSynth`).
 #[derive(Clone, Debug)]
 pub struct ParallelHeightBackend {
     config: FixedHeightConfig,

@@ -229,6 +229,8 @@ pub struct DryadSynthConfig {
     /// Maximum decision-tree height explored by the enumeration backend.
     pub max_height: usize,
     /// Worker threads for the parallel height search (1 = sequential).
+    /// Custom grammars without `(Constant _)` holes always search heights
+    /// sequentially.
     pub threads: usize,
     /// Maximum subproblem-graph nodes.
     pub max_nodes: usize,
@@ -318,11 +320,16 @@ impl DryadSynth {
             smt_sessions: self.config.smt_sessions,
             ..FixedHeightConfig::default()
         };
+        // Grammars searched by concrete enumeration at every height stay on
+        // the sequential backend: each height's search contains the lower
+        // heights', so a parallel band would repeat them (DESIGN.md §4).
+        let band = self.config.threads > 1
+            && !crate::fixed_height::enumerates_every_height(&problem.synth_fun.grammar);
         let backend: Arc<dyn crate::EnumBackend> = match self.config.engine {
             Engine::BottomUpBacked => {
                 Arc::new(BottomUpBackend::new(BottomUpConfig::default()).with_budget(budget.clone()))
             }
-            _ if self.config.threads > 1 => Arc::new(ParallelHeightBackend::new(
+            _ if band => Arc::new(ParallelHeightBackend::new(
                 fh,
                 self.config.max_height,
                 self.config.threads,

@@ -17,9 +17,10 @@ pub struct EnumConfig {
     pub constant_pool: Vec<i64>,
     /// Hard cap on terms kept per (non-terminal, size) layer.
     pub max_terms_per_layer: usize,
-    /// Shared resource governor; when it trips, layer construction stops
-    /// (already-built layers stay queryable) and each kept term charges one
-    /// fuel unit.
+    /// Shared resource governor, polled every few hundred emitted
+    /// candidates; when it trips, layer construction stops, even
+    /// inside a layer (already-built layers stay queryable, the unfinished
+    /// one is dropped). Each kept term charges one fuel unit.
     pub budget: Budget,
 }
 
@@ -33,6 +34,11 @@ impl Default for EnumConfig {
         }
     }
 }
+
+/// Emitted candidates between two budget polls inside a layer: rare enough
+/// that the poll stays off the profile, frequent enough that a trip stops
+/// the layer within milliseconds.
+const BUDGET_POLL_INTERVAL: u32 = 256;
 
 /// The observational signature of a term: its value on each example
 /// environment (`None` when evaluation fails, e.g. on overflow).
@@ -69,6 +75,10 @@ pub struct TermEnumerator<'a> {
     /// non-empty at all. Provably-empty slots are skipped without expansion.
     feasible: SizeFeasibility,
     built_size: usize,
+    /// Candidates emitted since the last budget poll.
+    since_poll: u32,
+    /// Latched once the budget trips: no further layer is built.
+    stopped: bool,
 }
 
 impl<'a> TermEnumerator<'a> {
@@ -90,6 +100,8 @@ impl<'a> TermEnumerator<'a> {
             seen: vec![HashMap::new(); n],
             feasible: SizeFeasibility::new(grammar),
             built_size: 0,
+            since_poll: 0,
+            stopped: false,
         }
     }
 
@@ -121,10 +133,12 @@ impl<'a> TermEnumerator<'a> {
 
     fn build_to(&mut self, requested: usize) {
         let size = requested.min(self.config.max_size);
-        while self.built_size < size {
+        let mut pruned = 0u64;
+        while self.built_size < size && !self.stopped {
             // Budget checkpoint in the hot loop: stop growing the table the
             // moment the governor trips (deadline, cancellation, or fuel).
             if self.config.budget.is_exhausted() {
+                self.stopped = true;
                 break;
             }
             let next = self.built_size + 1;
@@ -136,11 +150,11 @@ impl<'a> TermEnumerator<'a> {
                     // exactly `next` nodes can come from this production,
                     // skip the whole expansion for the slot.
                     if !self.feasible.pattern_feasible(prod, next) {
-                        self.config.budget.tracer().metrics().bump("enum.slots_pruned");
+                        pruned += 1;
                         continue;
                     }
                     self.expand(prod, next, &mut |t, me| {
-                        if layer.len() >= me.config.max_terms_per_layer {
+                        if me.poll_budget() || layer.len() >= me.config.max_terms_per_layer {
                             return;
                         }
                         if me.examples.is_empty() {
@@ -162,15 +176,45 @@ impl<'a> TermEnumerator<'a> {
                 let _ = self.config.budget.charge_fuel(layer.len() as u64);
                 self.layers[nt].push(layer);
             }
+            if self.stopped {
+                // The budget tripped inside this size: drop its unfinished
+                // layers so every stored layer is complete.
+                for layers in &mut self.layers {
+                    layers.truncate(next);
+                }
+                break;
+            }
             self.built_size = next;
         }
-        // Pad layers when the request exceeds max_size so indexing stays in
-        // range (those layers are empty by construction).
+        if pruned > 0 {
+            self.config
+                .budget
+                .tracer()
+                .metrics()
+                .add("enum.slots_pruned", pruned);
+        }
+        // Pad layers when the request exceeds max_size (or the budget
+        // stopped the build) so indexing stays in range; those layers are
+        // empty.
         for nt in 0..self.layers.len() {
             while self.layers[nt].len() <= requested {
                 self.layers[nt].push(Vec::new());
             }
         }
+    }
+
+    /// Counts one emitted candidate and polls the budget every
+    /// [`BUDGET_POLL_INTERVAL`] of them; returns whether construction must
+    /// stop.
+    fn poll_budget(&mut self) -> bool {
+        if !self.stopped {
+            self.since_poll += 1;
+            if self.since_poll >= BUDGET_POLL_INTERVAL {
+                self.since_poll = 0;
+                self.stopped = self.config.budget.is_exhausted();
+            }
+        }
+        self.stopped
     }
 
     /// Calls `emit` for every instantiation of `prod` with exactly `size`
@@ -263,6 +307,9 @@ impl<'a> TermEnumerator<'a> {
                     let mut collected: Vec<Term> = Vec::new();
                     self.expand(first, sz, &mut |t, _| collected.push(t));
                     for t in collected {
+                        if self.stopped {
+                            return;
+                        }
                         let mut acc2 = acc.clone();
                         acc2.push(t);
                         self.expand_children(rest, remaining - sz, acc2, emit);
@@ -407,6 +454,20 @@ mod tests {
         let mut e = TermEnumerator::new(&g, &defs, Vec::new(), cfg);
         let t1: Vec<String> = e.terms_of_size(1).iter().map(|t| t.to_string()).collect();
         assert_eq!(t1, vec!["7", "9"]);
+    }
+
+    #[test]
+    fn tripped_budget_keeps_built_layers_and_builds_no_more() {
+        let g = simple_grammar();
+        let defs = Definitions::new();
+        let cfg = EnumConfig::default();
+        let budget = cfg.budget.clone();
+        let mut e = TermEnumerator::new(&g, &defs, Vec::new(), cfg);
+        assert_eq!(e.terms_of_size(3).len(), 9);
+        budget.cancel();
+        assert!(e.terms_of_size(5).is_empty());
+        assert_eq!(e.terms_of_size(3).len(), 9, "built layers stay queryable");
+        assert_eq!(e.terms_of_size(1).len(), 3);
     }
 
     #[test]

@@ -248,8 +248,12 @@ impl SmtSession {
             let rounds = self.cfg.max_theory_rounds.max(1).saturating_mul(factor);
             match self.check_once(lia_budget, rounds) {
                 Err(SmtError::ResourceLimit(which)) => {
-                    if escalation >= self.cfg.retry_escalations || self.cfg.budget.check().is_err()
-                    {
+                    // As in `SmtSolver::check`: a tripped budget reports
+                    // itself, so a deadline or cancellation is a timeout.
+                    if let Err(e) = poll_budget(&self.cfg.budget) {
+                        break Err(e);
+                    }
+                    if escalation >= self.cfg.retry_escalations {
                         break Err(SmtError::ResourceLimit(which));
                     }
                     escalation += 1;

@@ -1013,11 +1013,14 @@ impl SmtSolver {
             match self.check_once(formula, lia_budget, rounds) {
                 Err(SmtError::ResourceLimit(which)) => {
                     // Climb the ladder only while the governing budget has
-                    // headroom; a fuel/deadline-exhausted budget reports
-                    // immediately (check_once already mapped that case).
-                    if escalation >= self.cfg.retry_escalations
-                        || self.cfg.budget.check().is_err()
-                    {
+                    // headroom. A tripped budget is what stopped the rung (a
+                    // polled LIA search reports it as a node limit), so
+                    // report the trip itself: a deadline or cancellation
+                    // surfaces as a timeout.
+                    if let Err(e) = poll_budget(&self.cfg.budget) {
+                        break Err(e);
+                    }
+                    if escalation >= self.cfg.retry_escalations {
                         break Err(SmtError::ResourceLimit(which));
                     }
                     escalation += 1;
