@@ -488,8 +488,12 @@ impl FixedHeightSolver {
                 return FixedHeightResult::Failed("CEGIS round limit".into());
             }
             let snapshot = examples.lock().clone();
-            let mut en =
-                TermEnumerator::new(&sf.grammar, &problem.definitions, snapshot, econfig.clone());
+            let mut en = TermEnumerator::new(
+                &sf.grammar,
+                &problem.definitions,
+                enum_synth::bind_params(problem, &snapshot),
+                econfig.clone(),
+            );
             let mut candidate: Option<Term> = None;
             'search: for size in 1..=max_size {
                 if let Some(stop) = self.interrupted() {
@@ -523,7 +527,7 @@ impl FixedHeightSolver {
                 Ok(Validity::Valid) => return FixedHeightResult::Solved(candidate),
                 Ok(Validity::Invalid(cex)) => match counterexample_env(problem, &cex) {
                     Some(env) => {
-                        if en.examples().contains(&env) {
+                        if snapshot.contains(&env) {
                             return FixedHeightResult::Failed(format!(
                                 "duplicate counterexample {env} for {candidate}"
                             ));

@@ -15,7 +15,8 @@ mod unify;
 
 pub use enumerate::{EnumConfig, TermEnumerator};
 pub use solver::{
-    constant_pool, counterexample_env, is_pointwise, BottomUpConfig, BottomUpSolver, SynthStatus,
+    bind_params, constant_pool, counterexample_env, is_pointwise, BottomUpConfig, BottomUpSolver,
+    SynthStatus,
 };
 // The shared resource-governance handle, re-exported for backend authors.
 pub use sygus_ast::runtime::{Budget, BudgetError};

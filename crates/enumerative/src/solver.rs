@@ -108,7 +108,7 @@ impl BottomUpSolver {
         let spec = problem.spec();
         // Pre-inline interpreted functions other than f so per-example
         // checks are pure evaluation.
-        let mut examples = initial_examples(problem);
+        let mut examples = bind_params(problem, &initial_examples(problem));
         let pointwise = self.config.unification
             && problem.synth_fun.grammar.flavor() == GrammarFlavor::Clia
             && is_pointwise(problem);
@@ -152,7 +152,11 @@ impl BottomUpSolver {
                     let Some(env) = counterexample_env(problem, &model) else {
                         return SynthStatus::Failed("counterexample outside i64".into());
                     };
-                    if examples.contains(&env) {
+                    let fresh: Vec<Env> = bind_params(problem, std::slice::from_ref(&env))
+                        .into_iter()
+                        .filter(|e| !examples.contains(e))
+                        .collect();
+                    if fresh.is_empty() {
                         // The candidate passed all examples but the formula
                         // is falsified by a known point: evaluation and
                         // solving disagree (should not happen).
@@ -160,7 +164,7 @@ impl BottomUpSolver {
                             "stuck: duplicate counterexample {env} for candidate {candidate}"
                         ));
                     }
-                    examples.push(env);
+                    examples.extend(fresh);
                     tracer.progress().note_counterexample();
                 }
                 Err(SmtError::Timeout) => return SynthStatus::Timeout,
@@ -307,6 +311,43 @@ fn initial_examples(problem: &Problem) -> Vec<Env> {
     }
 }
 
+/// The example environments extended for evaluating candidate terms.
+/// Examples bind the declared variables, while candidates range over the
+/// synth-fun's parameters, which may be named differently. Each `env`
+/// yields one environment per distinct application site of the function,
+/// binding every parameter `env` leaves unbound to the site's evaluated
+/// argument; duplicates are dropped. When every parameter is already bound
+/// (the parameters are named like the declared variables) the examples
+/// come back unchanged.
+pub fn bind_params(problem: &Problem, envs: &[Env]) -> Vec<Env> {
+    let sf = &problem.synth_fun;
+    let unbound = |env: &Env| sf.params.iter().any(|&(p, _)| env.lookup(p).is_none());
+    if !envs.iter().any(unbound) {
+        return envs.to_vec();
+    }
+    let sites = problem.spec().application_sites(sf.name);
+    if sites.is_empty() {
+        return envs.to_vec();
+    }
+    let mut out: Vec<Env> = Vec::with_capacity(envs.len() * sites.len());
+    for env in envs {
+        for args in &sites {
+            let mut bound = env.clone();
+            for (&(p, _), arg) in sf.params.iter().zip(args) {
+                if env.lookup(p).is_none() {
+                    if let Ok(v) = arg.eval(env, &problem.definitions) {
+                        bound.bind(p, v);
+                    }
+                }
+            }
+            if !out.contains(&bound) {
+                out.push(bound);
+            }
+        }
+    }
+    out
+}
+
 /// A specification is pointwise when every application of the target
 /// function uses the same argument tuple of distinct variables, so each
 /// counterexample pins down exactly one function invocation.
@@ -406,6 +447,31 @@ mod tests {
              (constraint (= (f x) (+ x 1)))(check-synth)",
         );
         assert_eq!(t.size(), 3);
+    }
+
+    /// Unbound parameters get one environment per application site; bound
+    /// ones (named like the declared variables) leave examples unchanged.
+    #[test]
+    fn bind_params_binds_each_application_site() {
+        let p = parse_problem(
+            "(set-logic LIA)(synth-fun f ((x Int)) Int)(declare-var a Int)(declare-var b Int)\
+             (constraint (= (f a) (f (+ b 1))))(check-synth)",
+        )
+        .unwrap();
+        let (a, b, x) = (Symbol::new("a"), Symbol::new("b"), Symbol::new("x"));
+        let env = Env::from_pairs(&[a, b], &[Value::Int(1), Value::Int(5)]);
+        let bound = bind_params(&p, std::slice::from_ref(&env));
+        let xs: Vec<Option<Value>> = bound.iter().map(|e| e.lookup(x)).collect();
+        assert_eq!(xs, vec![Some(Value::Int(1)), Some(Value::Int(6))]);
+        assert!(bound.iter().all(|e| e.lookup(a) == Some(Value::Int(1))));
+
+        let same = parse_problem(
+            "(set-logic LIA)(synth-fun f ((a Int)) Int)(declare-var a Int)\
+             (constraint (= (f a) a))(check-synth)",
+        )
+        .unwrap();
+        let env = Env::from_pairs(&[a], &[Value::Int(3)]);
+        assert_eq!(bind_params(&same, std::slice::from_ref(&env)), vec![env]);
     }
 
     #[test]

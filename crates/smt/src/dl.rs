@@ -22,6 +22,15 @@
 //! the first check after the assertion set changes re-validates with a
 //! full budgeted Bellman–Ford pass.
 //!
+//! Disequalities `x - y ≠ w` assert no edges. `check` refutes one when
+//! shortest paths pin it: `d(y→x) = w` and `d(x→y) = -w` make `x - y = w`
+//! forced, and the conflict core is the disequality plus the atoms of
+//! both paths. A pin forces the current model to violate the disequality
+//! and every edge on both paths to be tight under the potentials, so the
+//! search is a walk over tight edges. Disequalities that are only jointly
+//! infeasible (`x - y ∈ [0, 1]`, `x - y ≠ 0`, `x - y ≠ 1`) stay with the
+//! solver's complete full-model check.
+//!
 //! Per ordered node pair the engine keeps *all* asserted bounds in a
 //! [`BTreeMap`] keyed by weight; the effective edge is the tightest, and
 //! the atom justifying it is the explanation entering conflict cores —
@@ -185,8 +194,8 @@ impl DifferenceLogic {
     }
 
     /// The edge constraints asserted by `(atom, polarity)`. Disequalities
-    /// assert no edges (they are handled by pinned-bounds detection here
-    /// and by disequality splitting in the full-model check).
+    /// assert no edges (they are handled by shortest-path pin detection
+    /// here and by disequality splitting in the full-model check).
     fn edges_of(atom: &DlAtom, polarity: bool) -> [Option<Edge>; 2] {
         let (p, q, w) = (atom.p, atom.q, atom.w as i128);
         let fwd = Edge {
@@ -312,29 +321,79 @@ impl DifferenceLogic {
     }
 
     /// Detects the disequality conflicts visible without splitting: an
-    /// asserted `e ≠ w` whose active bounds pin `e` to exactly `w`.
+    /// asserted `x_p - x_q ≠ w` that the active bounds pin to exactly `w`,
+    /// i.e. whose shortest paths give `d(q→p) = w` and `d(p→q) = -w`. The
+    /// core is the disequality plus the justifying atom of every edge on
+    /// both paths. Requires feasible potentials (no latched conflict, not
+    /// dirty).
+    ///
+    /// The paths are searched with Dijkstra on reduced costs
+    /// `π(tail) + w - π(head) ≥ 0`, stopped once the reduced distance
+    /// exceeds the pinning value. Since `d(q→p) ≥ π(p) - π(q)` and
+    /// `d(p→q) ≥ π(q) - π(p)`, a pin forces `π(p) - π(q) = w`: only
+    /// disequalities the current model violates can be pinned, and for
+    /// them the stopping value is zero on both sides. Dijkstra then only
+    /// ever settles zero-reduced-cost (*tight*) edges, so the search is a
+    /// plain reachability walk over those.
     fn pinned_diseq(&self) -> Option<Vec<usize>> {
         for (idx, atom) in self.atoms.iter().enumerate() {
             if self.asserted[idx] != Some(false) || !atom.is_eq {
                 continue;
             }
-            let w = atom.w as i128;
-            let Some((up, ja)) = self.effective(atom.q, atom.p) else {
+            let (p, q) = (atom.p, atom.q);
+            if self.pi[p as usize] - self.pi[q as usize] != atom.w as i128 {
+                continue; // the model already satisfies the disequality
+            }
+            let Some(up) = self.tight_path(q, p) else {
                 continue;
             };
-            let Some((lo, jb)) = self.effective(atom.p, atom.q) else {
+            let Some(lo) = self.tight_path(p, q) else {
                 continue;
             };
-            // x_p - x_q ∈ [-lo, up]; pinned to the forbidden value iff
-            // both bounds equal w.
-            if up == w && lo == -w {
-                let mut core = vec![idx];
-                for a in [ja, jb] {
-                    if !core.contains(&a) {
-                        core.push(a);
-                    }
+            let mut core = vec![idx];
+            for a in up.into_iter().chain(lo) {
+                if !core.contains(&a) {
+                    core.push(a);
                 }
-                return Some(core);
+            }
+            return Some(core);
+        }
+        None
+    }
+
+    /// The justifying atoms of a path `from → … → to` made only of tight
+    /// active effective edges (`π(tail) + w = π(head)`), found by
+    /// breadth-first search; `None` when `to` is unreachable that way.
+    fn tight_path(&self, from: u32, to: u32) -> Option<Vec<usize>> {
+        // parent[n] = (predecessor, justifying atom) of the edge that
+        // first reached n.
+        let mut parent: Vec<Option<(u32, usize)>> = vec![None; self.nodes];
+        let mut queue = std::collections::VecDeque::from([from]);
+        // synthlint: allow(unpolled-loop) — each node is enqueued at most once (the parent check below), so the walk is bounded by the node count
+        while let Some(n) = queue.pop_front() {
+            for &h in &self.out[n as usize] {
+                if h == from || parent[h as usize].is_some() {
+                    continue;
+                }
+                let Some((w, ja)) = self.effective(n, h) else {
+                    continue;
+                };
+                if self.pi[n as usize] + w != self.pi[h as usize] {
+                    continue; // slack edge: positive reduced cost
+                }
+                parent[h as usize] = Some((n, ja));
+                if h == to {
+                    let mut atoms = Vec::new();
+                    let mut m = to;
+                    // synthlint: allow(unpolled-loop) — walks the BFS tree back to its root, at most one hop per node
+                    while m != from {
+                        let (prev, a) = parent[m as usize].expect("BFS tree edge");
+                        atoms.push(a);
+                        m = prev;
+                    }
+                    return Some(atoms);
+                }
+                queue.push_back(h);
             }
         }
         None
@@ -713,6 +772,121 @@ mod tests {
         assert_eq!(sorted, vec![0, 1, 2]);
         assert_eq!(dl.explain_conflict().expect("latched").kind, "pinned-diseq");
         dl.retract_atom(2);
+        assert!(unlimited(&mut dl).is_ok());
+    }
+
+    /// Sorted copy of a core, for order-insensitive comparison.
+    fn sorted(mut core: Vec<usize>) -> Vec<usize> {
+        core.sort_unstable();
+        core
+    }
+
+    /// `x = y ∧ y = z` pins `x - z` to 0 through the variable chain, with
+    /// no single edge between `x` and `z`. The core is exactly the path
+    /// atoms plus the disequality, slack and unrelated atoms excluded, and
+    /// the certificate cites the same atoms.
+    #[test]
+    fn disequality_pinned_through_a_chain() {
+        let atoms: Vec<LinearAtom> = vec![
+            (vec![(0, 1), (1, -1)], true, 0),  // x - y = 0
+            (vec![(1, 1), (2, -1)], true, 0),  // y - z = 0
+            (vec![(0, 1), (2, -1)], true, 0),  // x - z = 0 (asserted ≠)
+            (vec![(0, 1), (2, -1)], false, 9), // x - z <= 9: slack
+            (vec![(3, 1)], false, 5),          // w <= 5: unrelated
+        ];
+        let mut dl = DifferenceLogic::new(4, &atoms);
+        for i in [0, 1, 3, 4] {
+            dl.assert_atom(i, true);
+        }
+        assert!(unlimited(&mut dl).is_ok());
+        dl.assert_atom(2, false);
+        let core = unlimited(&mut dl).expect_err("x = y = z pins x - z");
+        assert_eq!(core[0], 2, "the disequality leads the core");
+        assert_eq!(sorted(core.clone()), vec![0, 1, 2]);
+        let cert = dl.explain_conflict().expect("latched certificate");
+        assert_eq!(cert.kind, "pinned-diseq");
+        assert_eq!(cert.atoms, core);
+        // Retracting one path edge clears the conflict.
+        dl.retract_atom(1);
+        assert!(unlimited(&mut dl).is_ok());
+        assert!(dl.explain_conflict().is_none());
+    }
+
+    /// Unary pins route the path through the zero node: `x = 2 ∧ y = 1`
+    /// pins `x - y` to 1.
+    #[test]
+    fn disequality_pinned_through_the_zero_node() {
+        let atoms: Vec<LinearAtom> = vec![
+            (vec![(0, 1)], true, 2),          // x = 2
+            (vec![(1, 1)], true, 1),          // y = 1
+            (vec![(0, 1), (1, -1)], true, 1), // x - y = 1 (asserted ≠)
+        ];
+        let mut dl = DifferenceLogic::new(2, &atoms);
+        dl.assert_atom(2, false);
+        dl.assert_atom(0, true);
+        assert!(unlimited(&mut dl).is_ok());
+        dl.assert_atom(1, true);
+        let core = unlimited(&mut dl).expect_err("x = 2, y = 1 pin x - y");
+        assert_eq!(sorted(core.clone()), vec![0, 1, 2]);
+        assert_eq!(dl.explain_conflict().expect("latched").atoms, core);
+        dl.retract_atom(0);
+        assert!(unlimited(&mut dl).is_ok());
+    }
+
+    /// Bounds that pin only one side, or disequalities that are only
+    /// jointly infeasible, are not pins: the engine answers consistent
+    /// and leaves them to the solver's full-model check.
+    #[test]
+    fn unpinned_disequalities_stay_consistent() {
+        let atoms: Vec<LinearAtom> = vec![
+            (vec![(0, 1), (1, -1)], false, 1), // x - y <= 1
+            (vec![(1, 1), (0, -1)], false, 0), // y - x <= 0
+            (vec![(0, 1), (1, -1)], true, 0),  // x - y = 0 (asserted ≠)
+            (vec![(0, 1), (1, -1)], true, 1),  // x - y = 1 (asserted ≠)
+        ];
+        let mut dl = DifferenceLogic::new(2, &atoms);
+        for i in 0..2 {
+            dl.assert_atom(i, true);
+        }
+        dl.assert_atom(2, false);
+        assert!(unlimited(&mut dl).is_ok(), "x - y ∈ [0, 1] allows 1");
+        dl.assert_atom(3, false);
+        assert!(
+            unlimited(&mut dl).is_ok(),
+            "joint infeasibility is not a pin"
+        );
+    }
+
+    /// A pin inside a frame is undone by `pop`, which restores every
+    /// polarity and the consistent verdict.
+    #[test]
+    fn push_pop_around_a_path_pin() {
+        let atoms: Vec<LinearAtom> = vec![
+            (vec![(0, 1), (1, -1)], false, 3),  // x - y <= 3
+            (vec![(1, 1), (2, -1)], false, 4),  // y - z <= 4
+            (vec![(2, 1), (0, -1)], false, -7), // z - x <= -7
+            (vec![(0, 1), (2, -1)], true, 7),   // x - z = 7 (asserted ≠)
+        ];
+        let mut dl = DifferenceLogic::new(3, &atoms);
+        dl.assert_atom(0, true);
+        dl.assert_atom(1, true);
+        dl.assert_atom(3, false);
+        assert!(unlimited(&mut dl).is_ok());
+        let before: Vec<Option<bool>> = (0..4).map(|i| dl.polarity(i)).collect();
+        dl.push();
+        dl.assert_atom(2, true); // x - z >= 7 closes the pin
+        let core = unlimited(&mut dl).expect_err("x - z pinned to 7");
+        assert_eq!(sorted(core), vec![0, 1, 2, 3]);
+        dl.pop();
+        let after: Vec<Option<bool>> = (0..4).map(|i| dl.polarity(i)).collect();
+        assert_eq!(after, before);
+        assert!(unlimited(&mut dl).is_ok());
+        assert!(dl.explain_conflict().is_none());
+        // Re-entering the frame reproduces the same conflict.
+        dl.push();
+        dl.assert_atom(2, true);
+        assert!(unlimited(&mut dl).is_err());
+        dl.pop();
         assert!(unlimited(&mut dl).is_ok());
     }
 

@@ -495,9 +495,6 @@ impl SmtSession {
             if rounds > max_theory_rounds {
                 return Err(SmtError::ResourceLimit("theory rounds"));
             }
-            if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                eprintln!("[dbg] session round {rounds}: sat solve");
-            }
             // Solve the propositional abstraction in conflict chunks so the
             // deadline is honored; within a chunk the conflict-stride poll
             // lets cancellation land mid-search.
@@ -545,9 +542,6 @@ impl SmtSession {
                 .iter()
                 .map(|&(i, pol)| (&enc.atom_list[i], pol))
                 .collect();
-            if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                eprintln!("[dbg] session round {rounds}: full theory check");
-            }
             match checker.check(&lits)? {
                 TheoryOutcome::Sat(point) => {
                     let mut model = Model::default();
@@ -557,17 +551,11 @@ impl SmtSession {
                     for (&s, &v) in &enc.bool_vars {
                         model.bools.insert(s, bool_model[v as usize]);
                     }
-                    if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                        eprintln!("[dbg] session round {rounds}: certify sat model");
-                    }
                     certify_sat_model(cfg, &active, &model)?;
                     model.ints.retain(|s, _| !s.as_str().starts_with("ite!"));
                     return Ok(SmtResult::Sat(model));
                 }
                 TheoryOutcome::Unsat => {
-                    if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                        eprintln!("[dbg] session round {rounds}: theory conflict, minimizing");
-                    }
                     cfg.budget.tracer().metrics().bump("smt.conflicts");
                     cfg.budget.tracer().progress().note_smt_conflict();
                     let mut core: Vec<(usize, bool)> = asserted.clone();

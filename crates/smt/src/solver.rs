@@ -885,19 +885,7 @@ impl TheoryChecker<'_> {
                 }
                 match check_lia_polled(self.index.len(), &boxed, self.lia_budget, &mut poll) {
                     LiaResult::Sat(m) => m,
-                    other => {
-                        if std::env::var_os("SMTKIT_DEBUG").is_some() {
-                            eprintln!(
-                                "[smtkit] boxed retry failed ({other:?} of {} cons, {} vars)",
-                                base.len(),
-                                self.index.len()
-                            );
-                            for c in base.iter() {
-                                eprintln!("[smtkit]   {c}");
-                            }
-                        }
-                        return Err(SmtError::ResourceLimit("lia nodes"));
-                    }
+                    _ => return Err(SmtError::ResourceLimit("lia nodes")),
                 }
             }
         };
@@ -1236,7 +1224,6 @@ impl SmtSolver {
             // Solve the propositional abstraction in conflict chunks so the
             // deadline is honored; within a chunk the conflict-stride poll
             // lets cancellation land mid-search.
-            let t_sat = Instant::now();
             let poll_handle = self.cfg.budget.clone();
             let bool_model = loop {
                 let step = enc.sat.solve_with_theory_polled(
@@ -1263,9 +1250,6 @@ impl SmtSolver {
                     None => self.check_deadline()?,
                 }
             };
-            if std::env::var_os("SMTKIT_DEBUG").is_some() && t_sat.elapsed().as_millis() > 50 {
-                eprintln!("[smtkit]   sat solve took {:?}", t_sat.elapsed());
-            }
             // Collect asserted theory literals.
             let asserted: Vec<(usize, bool)> = enc
                 .atom_list
@@ -1280,18 +1264,7 @@ impl SmtSolver {
                 .iter()
                 .map(|&(i, pol)| (&enc.atom_list[i], pol))
                 .collect();
-            let dbg = std::env::var_os("SMTKIT_DEBUG").is_some();
-            let t_check = Instant::now();
-            let outcome = checker.check(&lits)?;
-            if dbg {
-                eprintln!(
-                    "[smtkit] round {rounds}: {} atoms, theory check {:?} -> {}",
-                    enc.atom_list.len(),
-                    t_check.elapsed(),
-                    matches!(outcome, TheoryOutcome::Sat(_))
-                );
-            }
-            match outcome {
+            match checker.check(&lits)? {
                 TheoryOutcome::Sat(point) => {
                     let mut model = Model::default();
                     for (&s, &vi) in &index {
@@ -1315,7 +1288,6 @@ impl SmtSolver {
                     // prefix ("prefix is unsat" is monotone, so O(log n)
                     // checks locate it), then greedy deletion on the
                     // survivor when it is small enough.
-                    let t_min = Instant::now();
                     let mut core: Vec<(usize, bool)> = asserted.clone();
                     if self.cfg.minimize_cores && core.len() > 1 {
                         let unsat_prefix = |k: usize| -> Result<bool, SmtError> {
@@ -1363,13 +1335,6 @@ impl SmtSolver {
                                 }
                             }
                         }
-                    }
-                    if dbg {
-                        eprintln!(
-                            "[smtkit]   minimized to {} literals in {:?}",
-                            core.len(),
-                            t_min.elapsed()
-                        );
                     }
                     let clause: Vec<Lit> = core
                         .iter()

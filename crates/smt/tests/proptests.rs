@@ -452,8 +452,9 @@ proptest! {
 // Difference logic vs simplex: over randomized assert/retract/push/pop
 // scripts in the DL fragment, the two incremental theory engines must give
 // the same verdict at every check; DL conflict cores must be independently
-// unsat on a fresh simplex; and DL models must satisfy every active atom
-// under exact i128 evaluation.
+// refuted by fresh simplexes, on both sides of every disequality they
+// contain; and DL models must satisfy every active atom under exact i128
+// evaluation.
 // ---------------------------------------------------------------------------
 
 use smtkit::{DifferenceLogic, IncrementalLra, LinearAtom, TheorySolver};
@@ -522,6 +523,34 @@ fn atom_holds(atom: &LinearAtom, polarity: bool, model: &[smtkit::BigInt]) -> bo
     }
 }
 
+/// Whether fresh simplexes refute the conjunction of `(atom, polarity)`
+/// pairs in `core` over the integers. A disequality `e ≠ w` in it is split
+/// into `e ≤ w - 1` and `e ≥ w + 1`, and each side must be refuted on its
+/// own (recursively, for further disequalities): a single simplex sees a
+/// disequality only when one bound pins it, while the DL engine refutes
+/// disequalities that whole shortest paths pin.
+fn simplex_refutes(nvars: usize, atoms: &[LinearAtom], core: &[(usize, bool)]) -> bool {
+    let Some(k) = core.iter().position(|&(i, p)| atoms[i].1 && !p) else {
+        let mut fresh = IncrementalLra::new(nvars, atoms);
+        for &(i, p) in core {
+            TheorySolver::assert_atom(&mut fresh, i, p);
+        }
+        return TheorySolver::check(&mut fresh, 1_000_000, &mut || true)
+            .expect("core budget")
+            .is_err();
+    };
+    let (coeffs, _, w) = &atoms[core[k].0];
+    let negated: Vec<(usize, i64)> = coeffs.iter().map(|&(v, c)| (v, -c)).collect();
+    let mut split = atoms.to_vec();
+    split.push((coeffs.clone(), false, w - 1)); // e ≤ w - 1
+    split.push((negated, false, -w - 1)); // -e ≤ -w - 1, i.e. e ≥ w + 1
+    [atoms.len(), atoms.len() + 1].into_iter().all(|side| {
+        let mut rest = core.to_vec();
+        rest[k] = (side, true);
+        simplex_refutes(nvars, &split, &rest)
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
     #[test]
@@ -565,7 +594,9 @@ proptest! {
                     let sv = TheorySolver::check(&mut lra, 1_000_000, &mut || true)
                         .expect("lra budget");
                     // Disequality detection differs in strength (the DL
-                    // engine only sees directly pinned bounds), so exact
+                    // engine sees disequalities pinned by shortest paths,
+                    // the simplex only those pinned by a single bound, and
+                    // neither sees jointly infeasible ones), so exact
                     // agreement is only required without active diseqs.
                     let any_diseq = (0..atoms.len())
                         .any(|i| atoms[i].1 && TheorySolver::polarity(&dl, i) == Some(false));
@@ -581,17 +612,16 @@ proptest! {
                     }
                     if let Err(core) = &dv {
                         // The DL conflict core must be unsat on its own,
-                        // independently re-checked by a fresh simplex.
+                        // independently re-checked by fresh simplexes.
                         prop_assert!(!core.is_empty());
-                        let mut fresh = IncrementalLra::new(NVARS, &atoms);
-                        for &i in core {
-                            let p = TheorySolver::polarity(&dl, i).expect("core atom asserted");
-                            TheorySolver::assert_atom(&mut fresh, i, p);
-                        }
-                        let replay = TheorySolver::check(&mut fresh, 1_000_000, &mut || true)
-                            .expect("core budget");
+                        let signed: Vec<(usize, bool)> = core
+                            .iter()
+                            .map(|&i| {
+                                (i, TheorySolver::polarity(&dl, i).expect("core atom asserted"))
+                            })
+                            .collect();
                         prop_assert!(
-                            replay.is_err(),
+                            simplex_refutes(NVARS, &atoms, &signed),
                             "dl core {:?} not refuted by simplex; atoms={:?}",
                             core,
                             atoms
@@ -622,6 +652,86 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// A chain `x0 … xk` whose links pin every `x(i+1) - x(i)` to a constant,
+/// closed by a disequality between the chain's ends that contradicts the
+/// sum: as atoms, the index of the disequality, and the number of
+/// variables. Each link is an equality in either orientation, a pair of
+/// opposite bounds, or unary pins of both ends through the zero node.
+fn pinned_chain_strategy() -> impl Strategy<Value = (Vec<LinearAtom>, usize, usize)> {
+    (
+        -5i64..=5,
+        proptest::collection::vec((0usize..4, -5i64..=5), 1..6),
+        any::<bool>(),
+    )
+        .prop_map(|(start, links, flip)| {
+            let mut atoms: Vec<LinearAtom> = Vec::new();
+            let mut value = start;
+            for (i, &(shape, c)) in links.iter().enumerate() {
+                let (a, b) = (i, i + 1);
+                match shape {
+                    0 => atoms.push((vec![(b, 1), (a, -1)], true, c)),
+                    1 => atoms.push((vec![(a, 1), (b, -1)], true, -c)),
+                    2 => {
+                        atoms.push((vec![(b, 1), (a, -1)], false, c));
+                        atoms.push((vec![(a, 1), (b, -1)], false, -c));
+                    }
+                    _ => {
+                        atoms.push((vec![(a, 1)], true, value));
+                        atoms.push((vec![(b, 1)], true, value + c));
+                    }
+                }
+                value += c;
+            }
+            let (k, sum) = (links.len(), value - start);
+            let diseq = if flip {
+                (vec![(0, 1), (k, -1)], true, -sum)
+            } else {
+                (vec![(k, 1), (0, -1)], true, sum)
+            };
+            atoms.push(diseq);
+            let diseq_idx = atoms.len() - 1;
+            (atoms, diseq_idx, k + 1)
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+    #[test]
+    fn dl_refutes_path_pinned_disequalities(
+        chain in pinned_chain_strategy(),
+        keys in proptest::collection::vec(any::<u32>(), 11), // one per atom at most
+    ) {
+        let (atoms, diseq, nvars) = chain;
+        // Assert in a scrambled order so paths are found whatever order
+        // the edges arrived in.
+        let mut order: Vec<usize> = (0..atoms.len()).collect();
+        order.sort_by_key(|&i| keys[i]);
+        let mut dl = DifferenceLogic::new(nvars, &atoms);
+        for &i in &order {
+            TheorySolver::assert_atom(&mut dl, i, i != diseq);
+        }
+        let core = TheorySolver::check(&mut dl, 1_000_000, &mut || true)
+            .expect("dl budget")
+            .expect_err("the chain pins the disequality");
+        prop_assert!(core.contains(&diseq), "core {:?} lacks the disequality", core);
+        let cert = TheorySolver::explain_conflict(&dl).expect("certificate");
+        prop_assert_eq!(cert.kind, "pinned-diseq");
+        prop_assert_eq!(&cert.atoms, &core);
+        let signed: Vec<(usize, bool)> = core.iter().map(|&i| (i, i != diseq)).collect();
+        prop_assert!(
+            simplex_refutes(nvars, &atoms, &signed),
+            "dl core {:?} not refuted by simplex; atoms={:?}",
+            core,
+            atoms
+        );
+        // Without the disequality the chain itself is consistent.
+        TheorySolver::retract_atom(&mut dl, diseq);
+        prop_assert!(TheorySolver::check(&mut dl, 1_000_000, &mut || true)
+            .expect("dl budget")
+            .is_ok());
     }
 }
 

@@ -3,7 +3,8 @@
 //! independently re-verified by the SMT substrate.
 
 use dryadsynth::{
-    competition_solvers, verify_solution, DryadSynth, SolveRequest, SynthOutcome, Synthesizer,
+    certify_solution, competition_solvers, verify_solution, DryadSynth, EuSolverBaseline,
+    SolveRequest, SynthOutcome, Synthesizer,
 };
 use std::time::Duration;
 use sygus_ast::Problem;
@@ -132,5 +133,36 @@ fn general_track_solutions_respect_grammars() {
                 b.name
             );
         }
+    }
+}
+
+/// Parameters named unlike the declared variables: candidate terms range
+/// over `p q` while the examples bind `v0 v1`, so enumeration must bind the
+/// parameters at the application site to tell terms apart. The renamed
+/// `qm_max2` solves and certifies under DryadSynth and the EUSolver
+/// baseline.
+#[test]
+fn renamed_parameters_solve_under_enumeration() {
+    let p = sygus_parser::parse_problem(
+        "(set-logic LIA)\
+         (define-fun qm ((a Int) (b Int)) Int (ite (< a 0) b a))\
+         (synth-fun f ((p Int) (q Int)) Int ((S Int (p q 0 1 (+ S S) (- S S) (qm S S)))))\
+         (declare-var v0 Int)(declare-var v1 Int)\
+         (constraint (= (f v0 v1) (ite (>= v0 v1) v0 v1)))\
+         (check-synth)",
+    )
+    .expect("parses");
+    let solvers: [&dyn Synthesizer; 2] = [&DryadSynth::default(), &EuSolverBaseline];
+    for solver in solvers {
+        let SynthOutcome::Solved(body) = solve(solver, &p, 20) else {
+            panic!("{} must solve the renamed qm_max2", solver.name());
+        };
+        let cert = certify_solution(&p, &body, None);
+        assert!(
+            cert.certified(),
+            "{}: {body} fails certification: {:?}",
+            solver.name(),
+            cert.failure_reason()
+        );
     }
 }
